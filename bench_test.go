@@ -623,7 +623,7 @@ func BenchmarkBatchEval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, size := range []int{1, 16, 64} {
+		for _, size := range []int{1, 2, 4, 16, 64} {
 			dbs := make([]Database, size)
 			for i := range dbs {
 				dbs[i] = db
@@ -641,10 +641,11 @@ func BenchmarkBatchEval(b *testing.B) {
 }
 
 // BenchmarkVMvsInterp pits single-request interpreted evaluation
-// (pack, gate-by-gate walk, decode) against the vectorized program at
-// batch 64 on the same query and database. Divide interp-single's
-// ns/op by vm/batch=64's ns/req for the amortization factor the batch
-// path buys.
+// (pack, gate-by-gate walk, decode) against the vm program on the same
+// query and database, alone (vm/batch=1, the stride-1 path) and at
+// batch 64. Divide interp-single's ns/op by vm/batch=1's for the
+// single-request speedup, and by vm/batch=64's ns/req for the
+// amortization factor the batch path buys.
 func BenchmarkVMvsInterp(b *testing.B) {
 	ctx := context.Background()
 	q := query.Triangle()
@@ -665,23 +666,25 @@ func BenchmarkVMvsInterp(b *testing.B) {
 			}
 		}
 	})
-	b.Run("vm/batch=64", func(b *testing.B) {
-		prog, err := cq.CompileVM(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dbs := make([]Database, 64)
-		for i := range dbs {
-			dbs[i] = db
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.EvalBatch(ctx, dbs); err != nil {
+	for _, size := range []int{1, 64} {
+		b.Run(fmt.Sprintf("vm/batch=%d", size), func(b *testing.B) {
+			prog, err := cq.CompileVM(ctx)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/req")
-	})
+			dbs := make([]Database, size)
+			for i := range dbs {
+				dbs[i] = db
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := prog.EvalBatch(ctx, dbs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/req")
+		})
+	}
 }
 
 // BenchmarkObliviousEvaluation measures actual circuit evaluation

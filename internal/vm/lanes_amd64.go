@@ -80,6 +80,12 @@ func vecLtN(vals *Word, dst, a, b *int32, cnt, stride int)
 //go:noescape
 func vecMuxN(vals *Word, dst, a, b, c *int32, cnt, stride int)
 
+// vecCasN runs a compare-exchange run: per lane, dst = c != 0 ? a : b
+// and dst2 = c != 0 ? b : a, from one zero-compare and two blends.
+//
+//go:noescape
+func vecCasN(vals *Word, dst, dst2, a, b, c *int32, cnt, stride int)
+
 // execRun dispatches one same-op run to its batch kernel when the CPU
 // has AVX2 and the lane stride is vector-clean; multiply and modulus
 // (no 64-bit AVX2 forms) and all other cases fall back per instruction.
@@ -109,6 +115,8 @@ func (p *Program) execRun(vals []Word, S int, op uint8, lo, hi int) {
 		vecLtN(&vals[0], &p.dst[lo], &p.a[lo], &p.b[lo], cnt, stride)
 	case opMux:
 		vecMuxN(&vals[0], &p.dst[lo], &p.a[lo], &p.b[lo], &p.c[lo], cnt, stride)
+	case opCas:
+		vecCasN(&vals[0], &p.dst[lo], &p.dst2[lo], &p.a[lo], &p.b[lo], &p.c[lo], cnt, stride)
 	default:
 		p.execSlow(vals, S, op, lo, hi)
 	}

@@ -442,3 +442,69 @@ muxnlane:
 	JNZ  muxninstr
 	VZEROUPPER
 	RET
+
+// func vecCasN(vals *Word, dst, dst2, a, b, c *int32, cnt, stride int)
+//
+// Compare-exchange, per lane, per instruction: dst = c != 0 ? a : b and
+// dst2 = c != 0 ? b : a. One zero-compare of c feeds two blends, so a
+// fused pair loads c, a and b once and stores both outputs. With five
+// slot arrays and five lane bases there is no register left for vals,
+// so the bases add it from the argument slot; the lane loop walks one
+// byte offset (R9) shared by all five bases.
+TEXT ·vecCasN(SB), NOSPLIT, $0-64
+	MOVQ  dst+8(FP), DI
+	MOVQ  dst2+16(FP), R8
+	MOVQ  a+24(FP), SI
+	MOVQ  b+32(FP), DX
+	MOVQ  c+40(FP), BX
+	MOVQ  cnt+48(FP), CX
+	MOVQ  stride+56(FP), R11
+	VPXOR Y15, Y15, Y15 // zero
+
+casninstr:
+	MOVL  (DI), R12
+	IMULQ R11, R12
+	ADDQ  vals+0(FP), R12
+	MOVL  (R8), R10
+	IMULQ R11, R10
+	ADDQ  vals+0(FP), R10
+	MOVL  (SI), R13
+	IMULQ R11, R13
+	ADDQ  vals+0(FP), R13
+	MOVL  (DX), R14
+	IMULQ R11, R14
+	ADDQ  vals+0(FP), R14
+	MOVL  (BX), AX
+	IMULQ R11, AX
+	ADDQ  vals+0(FP), AX
+	XORQ  R9, R9
+
+casnlane:
+	VMOVDQU   (AX)(R9*1), Y4
+	VMOVDQU   32(AX)(R9*1), Y5
+	VPCMPEQQ  Y15, Y4, Y4 // all-ones where c == 0
+	VPCMPEQQ  Y15, Y5, Y5
+	VMOVDQU   (R13)(R9*1), Y0
+	VMOVDQU   32(R13)(R9*1), Y2
+	VMOVDQU   (R14)(R9*1), Y1
+	VMOVDQU   32(R14)(R9*1), Y3
+	VPBLENDVB Y4, Y1, Y0, Y6 // dst: b where mask, else a
+	VPBLENDVB Y4, Y0, Y1, Y7 // dst2: a where mask, else b
+	VPBLENDVB Y5, Y3, Y2, Y8
+	VPBLENDVB Y5, Y2, Y3, Y9
+	VMOVDQU   Y6, (R12)(R9*1)
+	VMOVDQU   Y8, 32(R12)(R9*1)
+	VMOVDQU   Y7, (R10)(R9*1)
+	VMOVDQU   Y9, 32(R10)(R9*1)
+	ADDQ      $64, R9
+	CMPQ      R9, R11
+	JB        casnlane
+	ADDQ $4, DI
+	ADDQ $4, R8
+	ADDQ $4, SI
+	ADDQ $4, DX
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  casninstr
+	VZEROUPPER
+	RET

@@ -6,6 +6,10 @@ package vm
 // amd64 build replaces these with AVX2 vector kernels when the CPU
 // supports them (see lanes_amd64.go).
 
+// useAVX2 is always false here; it exists so tests can pin the scalar
+// paths on every platform.
+var useAVX2 = false
+
 func laneAdd(d, a, b []Word) { scalarAdd(d, a, b) }
 func laneSub(d, a, b []Word) { scalarSub(d, a, b) }
 func laneAnd(d, a, b []Word) { scalarAnd(d, a, b) }

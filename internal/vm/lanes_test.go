@@ -81,4 +81,58 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 			}
 		}
 	}
+	t.Run("cas", checkCasRun)
+}
+
+// checkCasRun drives opCas runs through execRun — vecCasN on amd64
+// with AVX2, the per-instruction path elsewhere — on adversarial lane
+// values, and checks both outputs of every instruction against the
+// scalar mux.
+func checkCasRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	edge := []Word{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1, 1 << 32, -(1 << 32)}
+	for _, S := range []int{8, 16, 24} {
+		for _, cnt := range []int{1, 2, 7} {
+			// Slots 0..2cnt-1 are the outputs, 2cnt.. the operands.
+			slots := 2*cnt + 3*cnt
+			vals := make([]Word, slots*S)
+			for i := range vals {
+				switch rng.Intn(3) {
+				case 0:
+					vals[i] = edge[rng.Intn(len(edge))]
+				case 1:
+					vals[i] = 0
+				default:
+					vals[i] = Word(rng.Uint64())
+				}
+			}
+			p := &Program{}
+			for i := 0; i < cnt; i++ {
+				p.ops = append(p.ops, opCas)
+				p.dst = append(p.dst, int32(2*i))
+				p.dst2 = append(p.dst2, int32(2*i+1))
+				p.a = append(p.a, int32(2*cnt+3*i))
+				p.b = append(p.b, int32(2*cnt+3*i+1))
+				p.c = append(p.c, int32(2*cnt+3*i+2))
+			}
+			p.execRun(vals, S, opCas, 0, cnt)
+			lane := func(s int32) []Word { return vals[int(s)*S:][:S] }
+			want := make([]Word, S)
+			for i := 0; i < cnt; i++ {
+				a, b, c := lane(p.a[i]), lane(p.b[i]), lane(p.c[i])
+				scalarMux(want, a, b, c)
+				for l, got := range lane(p.dst[i]) {
+					if got != want[l] {
+						t.Fatalf("S=%d instr %d dst lane %d: got %d, want %d (a=%d b=%d c=%d)", S, i, l, got, want[l], a[l], b[l], c[l])
+					}
+				}
+				scalarMux(want, b, a, c)
+				for l, got := range lane(p.dst2[i]) {
+					if got != want[l] {
+						t.Fatalf("S=%d instr %d dst2 lane %d: got %d, want %d (a=%d b=%d c=%d)", S, i, l, got, want[l], a[l], b[l], c[l])
+					}
+				}
+			}
+		}
+	}
 }
